@@ -7,12 +7,13 @@ back to the numpy reference with a warning when the import fails.
 Bit-identity notes — every kernel must reproduce the numpy reference
 (:mod:`repro.kernels.numpy_backend`) bit-for-bit:
 
-* ``float64 -> int64`` casts: numpy's cast saturates NaN / infinities /
-  out-of-range values to ``INT64_MIN`` (x86 ``cvttsd2si`` semantics), but
-  LLVM's ``fptosi`` — what a bare numba cast compiles to — is *undefined*
-  for those inputs.  ``_quantize_raw`` branches explicitly to the
-  ``INT64_MIN`` sentinel before casting, after which the usual saturation
-  clamp applies, matching numpy on every input including non-finite ones.
+* ``float64 -> int64`` casts: the numpy reference clips in the float
+  domain before casting, so only NaN reaches its cast, which yields
+  ``INT64_MIN`` (x86 ``cvttsd2si`` semantics) and is then clamped to
+  ``min_raw``.  LLVM's ``fptosi`` — what a bare numba cast compiles to — is
+  *undefined* for NaN, so ``_quantize_raw`` branches to the ``INT64_MIN``
+  sentinel explicitly and mirrors the float clip, matching numpy on every
+  input including non-finite ones.
 * ``np.rint`` is round-half-even in both numpy and numba.
 * The fused matmul accumulates in a plain loop, which is only bit-identical
   to BLAS when every partial sum is exact; callers gate it behind
@@ -35,18 +36,22 @@ from repro.kernels.common import OP_FLIP, OP_SET
 
 name = "numba"
 
-#: ``2**63`` as float64 (exactly representable); magnitudes at or beyond it
-#: (and NaN) saturate to INT64_MIN in numpy's float64 -> int64 cast.
-_I64_LIMIT = 9.223372036854775808e18
+#: What numpy's float64 -> int64 cast yields for NaN.
 _I64_MIN = -9223372036854775808
 
 
 @njit(cache=True)
 def _quantize_raw(value, inv_scale, min_raw, max_raw):
     t = np.rint(value * inv_scale)
-    if np.isnan(t) or t >= _I64_LIMIT or t < -_I64_LIMIT:
+    if np.isnan(t):
         r = _I64_MIN
     else:
+        lo = np.float64(min_raw)
+        hi = np.float64(max_raw)
+        if t < lo:
+            t = lo
+        if t > hi:
+            t = hi
         r = np.int64(t)
     if r < min_raw:
         r = min_raw

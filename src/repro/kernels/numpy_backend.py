@@ -22,18 +22,28 @@ name = "numpy"
 # --------------------------------------------------------------------------- #
 # Elementwise quantization
 # --------------------------------------------------------------------------- #
+def _saturated_words(values, inv_scale, min_raw, max_raw):
+    """Round half to even, then saturate to ``[min_raw, max_raw]``.
+
+    The clip runs in the float domain before the int64 cast: numpy casts
+    infinities and magnitudes of ``2**63`` or more to ``INT64_MIN``, which
+    would saturate ``+inf`` to ``min_raw``.  NaN survives the float clip and
+    still casts to ``INT64_MIN``; the integer clip maps it to ``min_raw``
+    (and absorbs the rounding of ``float(max_raw)`` for words over 53 bits).
+    """
+    raw = np.rint(values * inv_scale)
+    raw = np.minimum(np.maximum(raw, float(min_raw)), float(max_raw)).astype(np.int64)
+    return np.minimum(np.maximum(raw, min_raw), max_raw)
+
+
 def quantize(values, inv_scale, scale, min_raw, max_raw):
     """Round-to-nearest-even fixed-point quantization with saturation."""
-    raw = np.rint(values * inv_scale).astype(np.int64)
-    raw = np.minimum(np.maximum(raw, min_raw), max_raw)
-    return raw.astype(np.float64) * scale
+    return _saturated_words(values, inv_scale, min_raw, max_raw).astype(np.float64) * scale
 
 
 def encode(values, inv_scale, min_raw, max_raw, word_mask):
     """Quantize and mask to the two's-complement word bits."""
-    raw = np.rint(values * inv_scale).astype(np.int64)
-    raw = np.minimum(np.maximum(raw, min_raw), max_raw)
-    return raw & word_mask
+    return _saturated_words(values, inv_scale, min_raw, max_raw) & word_mask
 
 
 def decode(raw, word_mask, sign_bit, modulus, scale):

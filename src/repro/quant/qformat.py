@@ -64,6 +64,9 @@ class QFormat:
             np.int64(1 << (self.total_bits - 1)) if self.sign_bits else np.int64(0),
         )
         object.__setattr__(self, "_modulus_i64", np.int64(1 << self.total_bits))
+        # Python ints for the per-element path (QTensor.set_element).
+        object.__setattr__(self, "_raw_bounds", (self.min_raw, self.max_raw))
+        object.__setattr__(self, "_word_mask_int", self.word_mask)
 
     # ------------------------------------------------------------------ #
     # Derived properties
@@ -143,11 +146,12 @@ class QFormat:
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Quantize real values to this format, returning real-valued output.
 
-        Values outside the representable range saturate.  Equivalent to
-        ``decode(encode(values))`` for every input (including non-finite
-        ones, which go through the same int64 conversion): after clipping,
-        the raw words already equal their decoded signed value, so the
-        two's-complement mask/unmask round trip is skipped.
+        Values outside the representable range saturate, infinities and
+        magnitudes past the int64 range included; NaN maps to
+        ``min_value``.  Equivalent to ``decode(encode(values))`` for every
+        input: after clipping, the raw words already equal their decoded
+        signed value, so the two's-complement mask/unmask round trip is
+        skipped.
 
         Dispatches through :mod:`repro.kernels` (as do :meth:`encode` /
         :meth:`decode` and the fused helpers below), so the active kernel
@@ -173,6 +177,23 @@ class QFormat:
             self._max_raw_i64,
             self._word_mask_i64,
         )
+
+    def saturate_scalar(self, value: float) -> int:
+        """The signed word :meth:`encode` gives one float, before the mask.
+
+        Round half to even, then saturate; NaN maps to ``min_raw``.  Plain
+        Python arithmetic on the same IEEE doubles, so it agrees with the
+        kernel path bit for bit on every float64, without a dispatch — the
+        per-element write path of :meth:`QTensor.set_element
+        <repro.quant.qtensor.QTensor.set_element>`.
+        """
+        scaled = float(value) * self._inv_scale
+        low, high = self._raw_bounds
+        if scaled >= high:
+            return high
+        if scaled > low:
+            return round(scaled)
+        return low  # at or below the range, or NaN
 
     def decode(self, raw: np.ndarray) -> np.ndarray:
         """Decode raw unsigned words (two's complement) back to real values."""

@@ -5,11 +5,14 @@ two's-complement integer representation under a given
 :class:`~repro.quant.qformat.QFormat`.  Fault injectors mutate the raw view
 (bit flips, stuck-at patterns); consumers read the decoded value view.  The
 two views are kept consistent: writing values re-encodes the raw words,
-mutating raw words re-decodes the values.
+mutating raw words re-decodes the values.  Hot readers use the cached,
+read-only :meth:`QTensor.decoded_view`, which every raw-word mutator drops
+and :meth:`QTensor.set_element` updates in place.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -43,8 +46,9 @@ class QTensor:
         self.qformat = qformat
         self.name = name
         values = np.asarray(values, dtype=np.float64)
-        self._raw = qformat.encode(values)
         self._shape = values.shape
+        self._size = math.prod(self._shape)
+        self._set_raw(qformat.encode(values))
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -56,9 +60,23 @@ class QTensor:
         obj.qformat = qformat
         obj.name = name
         raw = np.asarray(raw, dtype=np.int64) & qformat.word_mask
-        obj._raw = raw
         obj._shape = raw.shape
+        obj._size = math.prod(obj._shape)
+        obj._set_raw(raw)
         return obj
+
+    def _set_raw(self, raw: np.ndarray) -> None:
+        """Install new raw words, dropping the decoded view of the old ones."""
+        self._raw = raw
+        self._decoded: Optional[np.ndarray] = None
+        self._view: Optional[np.ndarray] = None
+
+    def __getstate__(self) -> dict:
+        # A pickled view and its base unpickle as two unrelated arrays, so
+        # set_element would stop updating the view: rebuild it on first use.
+        state = self.__dict__.copy()
+        state["_decoded"] = state["_view"] = None
+        return state
 
     @classmethod
     def zeros(cls, shape: Tuple[int, ...], qformat: QFormat, name: str = "") -> "QTensor":
@@ -91,12 +109,40 @@ class QTensor:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self._shape)) if self._shape else 1
+        return self._size
 
     @property
     def values(self) -> np.ndarray:
         """Decoded real-valued view (a fresh array each call)."""
         return self.qformat.decode(self._raw)
+
+    def decoded_view(self) -> np.ndarray:
+        """Decoded real-valued view, cached and read-only.
+
+        Built on first use and kept until a mutator rewrites the raw words
+        (the ``values``/``raw`` setters and the ``inject_*`` methods drop
+        it; :meth:`set_element` updates it in place).  Writing into it
+        raises; use :attr:`values` for a writable copy.
+        """
+        if self._view is None:
+            self._decoded = self.qformat.decode(self._raw)
+            self._view = self._decoded.view()
+            self._view.flags.writeable = False
+        return self._view
+
+    def set_element(self, index, value: float) -> None:
+        """Quantize one scalar into element ``index``.
+
+        The word is exactly the one ``qformat.encode`` gives (round half to
+        even, saturate, mask; see :meth:`QFormat.saturate_scalar
+        <repro.quant.qformat.QFormat.saturate_scalar>`).  The raw word and
+        the cached decoded view, if built, are updated in place.
+        """
+        fmt = self.qformat
+        word = fmt.saturate_scalar(value)
+        self._raw[index] = word & fmt._word_mask_int
+        if self._decoded is not None:
+            self._decoded[index] = word * fmt._scale
 
     @values.setter
     def values(self, new_values: np.ndarray) -> None:
@@ -105,7 +151,7 @@ class QTensor:
             raise ValueError(
                 f"shape mismatch: tensor is {self._shape}, got {new_values.shape}"
             )
-        self._raw = self.qformat.encode(new_values)
+        self._set_raw(self.qformat.encode(new_values))
 
     @property
     def raw(self) -> np.ndarray:
@@ -119,7 +165,7 @@ class QTensor:
             raise ValueError(
                 f"shape mismatch: tensor is {self._shape}, got {new_raw.shape}"
             )
-        self._raw = new_raw & self.qformat.word_mask
+        self._set_raw(new_raw & self.qformat.word_mask)
 
     # ------------------------------------------------------------------ #
     # Fault primitives
@@ -130,8 +176,8 @@ class QTensor:
         bit_positions: np.ndarray,
     ) -> None:
         """Flip the addressed bits in place (transient fault)."""
-        self._raw = flip_bits(
-            self._raw, element_indices, bit_positions, self.qformat.total_bits
+        self._set_raw(
+            flip_bits(self._raw, element_indices, bit_positions, self.qformat.total_bits)
         )
 
     def inject_stuck_at(
@@ -141,12 +187,14 @@ class QTensor:
         stuck_value: int,
     ) -> None:
         """Force the addressed bits to 0 or 1 in place (permanent fault)."""
-        self._raw = apply_stuck_at(
-            self._raw,
-            element_indices,
-            bit_positions,
-            stuck_value,
-            self.qformat.total_bits,
+        self._set_raw(
+            apply_stuck_at(
+                self._raw,
+                element_indices,
+                bit_positions,
+                stuck_value,
+                self.qformat.total_bits,
+            )
         )
 
     def inject_bit_ops(
@@ -162,12 +210,14 @@ class QTensor:
         be distinct (see :func:`~repro.quant.bitops.apply_bit_ops`).  This is
         the batched engine's single-copy injection primitive.
         """
-        self._raw = apply_bit_ops(
-            self._raw,
-            element_indices,
-            bit_positions,
-            op_codes,
-            self.qformat.total_bits,
+        self._set_raw(
+            apply_bit_ops(
+                self._raw,
+                element_indices,
+                bit_positions,
+                op_codes,
+                self.qformat.total_bits,
+            )
         )
 
     def inject_random_bit_flips(

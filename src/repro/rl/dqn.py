@@ -123,7 +123,7 @@ class DQNAgent(Agent):
             return int(self.rng.integers(self.n_actions))
         q = self.q_values(state)
         best = np.flatnonzero(q == q.max())
-        return int(self.rng.choice(best))
+        return int(best[self.rng.integers(len(best))])  # the draw of rng.choice(best)
 
     # ------------------------------------------------------------------ #
     # Learning

@@ -89,12 +89,12 @@ class TabularQAgent(Agent):
     @property
     def q_table(self) -> np.ndarray:
         """Decoded Q-value table (in reward units, scale removed)."""
-        return self._table.values / self.value_scale
+        return self._table.decoded_view() / self.value_scale
 
     def q_values(self, state: int) -> np.ndarray:
         """Q-values for every action in a state."""
         self._check_state(state)
-        return self._table.values[state] / self.value_scale
+        return self._table.decoded_view()[state] / self.value_scale
 
     def _check_state(self, state: int) -> None:
         if not 0 <= state < self.n_states:
@@ -104,32 +104,46 @@ class TabularQAgent(Agent):
     # Acting
     # ------------------------------------------------------------------ #
     def select_action(self, state: int, explore: bool = True) -> int:
-        """Epsilon-greedy action selection (ties broken randomly)."""
+        """Epsilon-greedy action selection (ties broken randomly).
+
+        Reads the cached table row as Python floats: one row per step does
+        not pay for numpy calls.  ``best[rng.integers(len(best))]`` is the
+        draw ``rng.choice(best)`` makes, so trajectories are unchanged.
+        """
         if explore and self.rng.random() < self.schedule.epsilon:
             return int(self.rng.integers(self.n_actions))
-        q = self.q_values(state)
-        best = np.flatnonzero(q == q.max())
-        return int(self.rng.choice(best))
+        self._check_state(state)
+        scale = self.value_scale
+        q = [v / scale for v in self._table.decoded_view()[state].tolist()]
+        top = max(q)
+        best = [action for action, v in enumerate(q) if v == top]
+        return best[self.rng.integers(len(best))]
 
     # ------------------------------------------------------------------ #
     # Learning
     # ------------------------------------------------------------------ #
     def observe(self, transition: Transition) -> None:
-        """Apply the Bellman backup of Eq. 4 to the quantized table."""
+        """Apply the Bellman backup of Eq. 4 to the quantized table.
+
+        Only the ``(state, action)`` word is re-encoded.  Re-encoding the
+        whole table would give the same words: the scale is a power of two,
+        so ``encode(decode(w)) == w`` for every untouched element.
+        """
         state = int(transition.state)
         next_state = int(transition.next_state)
         self._check_state(state)
         self._check_state(next_state)
-        values = self._table.values
-        current = values[state, transition.action] / self.value_scale
+        action = int(transition.action)
+        values = self._table.decoded_view()
+        scale = self.value_scale
+        current = float(values[state, action]) / scale
         if transition.done:
             bootstrap = 0.0
         else:
-            bootstrap = float(values[next_state].max()) / self.value_scale
+            bootstrap = max(values[next_state].tolist()) / scale
         target = transition.reward + self.gamma * bootstrap
         updated = current + self.learning_rate * (target - current)
-        values[state, transition.action] = updated * self.value_scale
-        self._table.values = values
+        self._table.set_element((state, action), updated * scale)
 
     def end_episode(self) -> None:
         self.schedule.step()

@@ -159,12 +159,16 @@ class TestNumpyReference:
         values = np.concatenate(
             [rng.normal(0, qf.max_value, size=64), _special_values()]
         )
-        # NaN exercises the historical invalid-cast path on both sides;
-        # silence numpy's warning about it (the *values* are the contract).
+        # NaN exercises the invalid-cast path on both sides; silence numpy's
+        # warning about it (the *values* are the contract).  The formula
+        # clips in the float domain first, so +inf and magnitudes past the
+        # int64 range saturate high instead of wrapping to INT64_MIN.
         with kernels.use_backend("numpy"), np.errstate(invalid="ignore"):
             out = qf.quantize(values)
         with np.errstate(invalid="ignore"):
-            raw = np.rint(values * (2.0**qf.fraction_bits)).astype(np.int64)
+            scaled = np.rint(values * (2.0**qf.fraction_bits))
+            scaled = np.clip(scaled, float(qf.min_raw), float(qf.max_raw))
+            raw = scaled.astype(np.int64)
         raw = np.minimum(np.maximum(raw, np.int64(qf.min_raw)), np.int64(qf.max_raw))
         expected = raw.astype(np.float64) * (2.0**-qf.fraction_bits)
         assert np.array_equal(out, expected)

@@ -96,6 +96,54 @@ class TestEncodeDecode:
         assert mask.tolist() == [True, True, False, False]
 
 
+SATURATION_FORMATS = [Q8_GRID, Q16_NARROW, Q16_WIDE, QFormat(0, 4, 4), QFormat(1, 40, 21)]
+HIGH = np.array([np.inf, 1e300, 2.0**70])
+LOW = np.array([-np.inf, -1e300, -(2.0**70)])
+
+
+class TestSaturation:
+    """Values past the int64 range saturate like any other out-of-range value.
+
+    numpy casts them to ``INT64_MIN``; that sentinel must not reach the word,
+    or ``+inf`` and ``1e300`` would saturate to ``min_raw``.
+    """
+
+    @pytest.mark.parametrize("fmt", SATURATION_FORMATS, ids=str)
+    def test_encode_saturates_beyond_int64(self, fmt):
+        assert fmt.decode(fmt.encode(HIGH)).tolist() == [fmt.max_value] * 3
+        assert fmt.decode(fmt.encode(LOW)).tolist() == [fmt.min_value] * 3
+
+    def test_q8_grid_inf_encodes_to_max_word(self):
+        assert Q8_GRID.encode([np.inf, 1e300]).tolist() == [127, 127]
+
+    @pytest.mark.parametrize("fmt", SATURATION_FORMATS, ids=str)
+    def test_quantize_and_fused_ops_saturate(self, fmt):
+        assert fmt.quantize(HIGH).tolist() == [fmt.max_value] * 3
+        assert fmt.quantize(LOW).tolist() == [fmt.min_value] * 3
+        assert fmt.relu_quantize(HIGH).tolist() == [fmt.max_value] * 3
+        assert fmt.bias_quantize(HIGH[:, None], np.zeros(1)).ravel().tolist() == (
+            [fmt.max_value] * 3
+        )
+
+    @pytest.mark.parametrize("fmt", SATURATION_FORMATS, ids=str)
+    def test_nan_still_maps_to_min(self, fmt):
+        with np.errstate(invalid="ignore"):
+            assert fmt.encode([np.nan]).tolist() == [fmt.min_raw & fmt.word_mask]
+            assert fmt.quantize([np.nan]).tolist() == [fmt.min_value]
+
+    @pytest.mark.parametrize("fmt", SATURATION_FORMATS, ids=str)
+    def test_finite_values_within_int64_do_not_move(self, fmt, rng):
+        span = 3 * fmt.max_value
+        values = np.concatenate(
+            [rng.uniform(-span, span, 512), [0.0, -0.0, 0.5 * fmt.scale]]
+        )
+        # The formula before the float-domain clip, for values it handled.
+        raw = np.rint(values * 2.0**fmt.fraction_bits).astype(np.int64)
+        raw = np.clip(raw, fmt.min_raw, fmt.max_raw)
+        assert np.array_equal(fmt.encode(values), raw & fmt.word_mask)
+        assert np.array_equal(fmt.quantize(values), raw * fmt.scale)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(min_value=-15.9, max_value=15.9, allow_nan=False),

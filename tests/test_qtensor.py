@@ -1,11 +1,15 @@
 """Tests for the bit-addressable quantized tensor."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.quant import Q8_GRID, Q16_NARROW, QTensor
+from repro.quant import Q8_GRID, Q16_NARROW, Q16_WIDE, QFormat, QTensor
+from repro.quant.bitops import OP_CLEAR, OP_FLIP, OP_SET
 from repro.quant.statistics import bit_histogram, bit_level_stats, value_histogram
 
 
@@ -45,6 +49,110 @@ class TestQTensorViews:
         assert small_qtensor == small_qtensor.copy()
         other = QTensor(small_qtensor.values, Q16_NARROW)
         assert small_qtensor != other
+
+
+def _identical(a, b):
+    """Bitwise equality of two float64 arrays (tells 0.0 from -0.0)."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+#: Every QTensor method that rewrites raw words, applied to an (4, 5) Q8 tensor.
+MUTATORS = {
+    "values": lambda t, rng: setattr(t, "values", rng.uniform(-8, 8, size=t.shape)),
+    "raw": lambda t, rng: setattr(t, "raw", rng.integers(0, 256, size=t.shape)),
+    "inject_bit_flips": lambda t, rng: t.inject_bit_flips(
+        np.array([0, 3, 7]), np.array([7, 6, 5])
+    ),
+    "inject_stuck_at": lambda t, rng: t.inject_stuck_at(
+        np.array([1, 2, 9]), np.array([7, 6, 6]), 1
+    ),
+    "inject_bit_ops": lambda t, rng: t.inject_bit_ops(
+        np.array([0, 4, 8]), np.array([7, 6, 5]), np.array([OP_FLIP, OP_SET, OP_CLEAR])
+    ),
+    "inject_random_bit_flips": lambda t, rng: t.inject_random_bit_flips(0.5, rng),
+    "set_element": lambda t, rng: t.set_element((2, 3), -t.values[2, 3] - 0.5),
+}
+
+
+class TestDecodedView:
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_view_follows_every_mutator(self, small_qtensor, rng, mutator):
+        before = small_qtensor.decoded_view().copy()
+        MUTATORS[mutator](small_qtensor, rng)
+        view = small_qtensor.decoded_view()
+        assert _identical(view, small_qtensor.qformat.decode(small_qtensor.raw))
+        assert not np.array_equal(view, before)  # the mutation was visible
+
+    def test_view_is_read_only(self, small_qtensor):
+        with pytest.raises(ValueError):
+            small_qtensor.decoded_view()[0, 0] = 1.0
+
+    def test_view_is_cached_and_values_stay_fresh(self, small_qtensor):
+        view = small_qtensor.decoded_view()
+        assert small_qtensor.decoded_view() is view
+        fresh = small_qtensor.values
+        fresh[0, 0] += 1.0  # a copy: neither the tensor nor the view change
+        assert _identical(view, small_qtensor.values)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_view_survives_pickle_and_deepcopy(self, small_qtensor, clone):
+        small_qtensor.decoded_view()
+        restored = clone(small_qtensor)
+        restored.decoded_view()
+        restored.set_element((1, 1), 3.0)
+        assert restored.decoded_view()[1, 1] == 3.0
+        assert _identical(restored.decoded_view(), restored.values)
+
+    def test_set_element_without_a_built_view(self, small_qtensor):
+        small_qtensor.set_element((0, 1), 2.5)
+        assert small_qtensor.values[0, 1] == 2.5
+        assert small_qtensor.decoded_view()[0, 1] == 2.5
+
+    def test_size_is_product_of_shape(self):
+        assert QTensor.zeros((3, 4), Q8_GRID).size == 12
+        assert QTensor(np.float64(1.0), Q8_GRID).size == 1
+        assert QTensor.from_raw(np.zeros((2, 0), dtype=np.int64), Q8_GRID).size == 0
+
+
+SET_ELEMENT_FORMATS = [Q8_GRID, Q16_NARROW, Q16_WIDE, QFormat(0, 4, 4), QFormat(1, 40, 21)]
+
+
+def _check_set_element(fmt, value):
+    tensor = QTensor.zeros((3,), fmt)
+    tensor.decoded_view()
+    tensor.set_element(1, value)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = fmt.encode(np.array([0.0, value, 0.0]))
+    assert np.array_equal(tensor.raw, expected)
+    assert _identical(tensor.decoded_view(), fmt.decode(expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fmt=st.sampled_from(SET_ELEMENT_FORMATS), value=st.floats())
+@example(fmt=Q8_GRID, value=0.0)
+@example(fmt=Q8_GRID, value=-0.0)
+@example(fmt=Q8_GRID, value=Q8_GRID.max_value + Q8_GRID.scale / 2)
+@example(fmt=Q8_GRID, value=Q8_GRID.min_value - Q8_GRID.scale / 2)
+@example(fmt=Q8_GRID, value=float("inf"))
+@example(fmt=Q8_GRID, value=float("-inf"))
+@example(fmt=Q8_GRID, value=float("nan"))
+@example(fmt=Q8_GRID, value=1e300)
+@example(fmt=Q8_GRID, value=2.0**70)
+@example(fmt=QFormat(1, 40, 21), value=2.0**61)
+@example(fmt=QFormat(1, 40, 21), value=-(2.0**61))
+def test_property_set_element_matches_encode(fmt, value):
+    """``set_element`` stores exactly the word ``encode`` gives, for any float64."""
+    _check_set_element(fmt, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fmt=st.sampled_from(SET_ELEMENT_FORMATS), lsbs=st.integers(-(2**12), 2**12))
+def test_property_set_element_rounds_halfway_to_even(fmt, lsbs):
+    _check_set_element(fmt, (lsbs + 0.5) * fmt.scale)
 
 
 class TestQTensorFaults:
